@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -476,6 +477,50 @@ func BenchmarkSolveK10Workspace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := model.Solve(mms.SolveOptions{Workspace: ws})
 		benchErr(b, err)
+	}
+}
+
+// benchKs are the torus sizes of the per-k model benchmarks: the paper's
+// 4×4 base system up to the 24×24 end of the cold serving mix.
+var benchKs = []int{4, 8, 16, 24}
+
+// BenchmarkBuild measures model elaboration (topology, access pattern,
+// visit ratios and the merged kernel rows) per torus size. Its allocation
+// count must not grow with k.
+func BenchmarkBuild(b *testing.B) {
+	for _, k := range benchKs {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			cfg := mms.DefaultConfig()
+			cfg.K = k
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := mms.Build(cfg)
+				benchErr(b, err)
+			}
+		})
+	}
+}
+
+// BenchmarkSolveSymmetric measures one cold symmetric solve (the one-lane
+// batch kernel on a reused workspace) per torus size; iters/solve is the
+// kernel's sweep count.
+func BenchmarkSolveSymmetric(b *testing.B) {
+	for _, k := range benchKs {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			cfg := mms.DefaultConfig()
+			cfg.K = k
+			model, err := mms.Build(cfg)
+			benchErr(b, err)
+			ws := new(mms.Workspace)
+			var iters int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				met, err := model.Solve(mms.SolveOptions{Workspace: ws})
+				benchErr(b, err)
+				iters += int64(met.Iterations)
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package fixpoint implements safeguarded acceleration schemes for damped
-// successive-substitution iterations x ← G(x) on nonnegative vectors, shared
-// by the multiclass AMVA solver (internal/mva) and the symmetric
-// single-class solver (internal/mms).
+// successive-substitution iterations x ← G(x) on nonnegative vectors, used
+// by the multiclass AMVA solver (internal/mva). The symmetric MMS solver runs
+// the same guarded Aitken scheme vectorized per lane inside
+// mva.BatchWorkspace.
 //
 // The accelerator never evaluates the map itself: the caller evaluates
 // g = G(x), tests its own convergence criterion on the raw residual g − x,
@@ -24,7 +25,9 @@ const (
 	// projection estimates the dominant contraction factor μ, and the
 	// geometric tail Σ μᵏ is summed in closed form. When μ falls outside
 	// (−1, 1) or the extrapolated iterate leaves [0, upper], the step keeps
-	// the plain update.
+	// the plain update. Once a second-leg residual fails to improve on the
+	// previous cycle's, the iteration has stalled on a cycle of the
+	// acceleration map and takes plain steps from then on.
 	Aitken
 	// Anderson runs depth-m Anderson mixing: the next iterate combines the
 	// last m residual differences through a least-squares step. When the LS
@@ -46,9 +49,11 @@ type Accelerator struct {
 	depth  int
 
 	// Aitken: xPrev is the iterate two evaluations ago; havePrev marks the
-	// second leg of the extrapolation cycle.
+	// second leg of the extrapolation cycle; r2Prev is the previous second
+	// leg's max residual, −Inf once the iteration has stalled.
 	xPrev    []float64
 	havePrev bool
+	r2Prev   float64
 
 	// Anderson: f is the current residual g−x; fPrev/gPrev the previous
 	// residual and map value (valid iff haveRes); dF/dG the depth×n
@@ -71,6 +76,7 @@ func (a *Accelerator) Reset(scheme Scheme, depth, n int) {
 	}
 	a.depth = depth
 	a.havePrev = false
+	a.r2Prev = math.Inf(1)
 	a.haveRes = false
 	a.histLen, a.histPos = 0, 0
 	switch scheme {
@@ -124,14 +130,29 @@ func (a *Accelerator) advanceAitken(x, g, upper []float64) {
 	// (Componentwise Δ² is NOT used: with several mixed eigendirections it
 	// can settle into a limit cycle whose extrapolant is a fixed point of
 	// the acceleration map but not of G.)
+	//
+	// The vector form can still cycle: when the dominant eigenvalues are
+	// complex or of mixed sign, the extrapolant may land where the next
+	// cycle's residual is no smaller, forever. A second-leg residual that
+	// fails to improve on the previous cycle's latches the plain step for
+	// the rest of the iteration, which then converges as the plain one does.
 	a.havePrev = false
-	var r1r1, r1r2 float64
+	var r1r1, r1r2, r2max float64
 	for i := range x {
 		r1 := x[i] - a.xPrev[i]
 		r2 := g[i] - x[i]
 		r1r1 += r1 * r1
 		r1r2 += r1 * r2
+		if d := math.Abs(r2); d > r2max {
+			r2max = d
+		}
 	}
+	if !(r2max < a.r2Prev) {
+		a.r2Prev = math.Inf(-1)
+		copy(x, g)
+		return
+	}
+	a.r2Prev = r2max
 	if !(r1r1 > 0) || math.IsNaN(r1r2) || math.IsInf(r1r2, 0) {
 		copy(x, g)
 		return

@@ -2,6 +2,7 @@ package mms
 
 import (
 	"fmt"
+	"math"
 
 	"lattol/internal/mva"
 	"lattol/internal/validate"
@@ -38,8 +39,9 @@ type BatchResult struct {
 //
 // opts supplies Tolerance, MaxIterations and the Workspace; opts.Solver is
 // ignored (each item carries its own) and Accel/WarmStart apply only to the
-// scalar-fallback items, since the kernel's continuation seeding subsumes
-// them.
+// scalar-fallback items: the kernel always continues from the workspace's
+// last converged lane and always runs its guarded Aitken step. Model.Solve
+// is the one-item case of this path.
 func SolveBatch(items []BatchItem, opts SolveOptions) []BatchResult {
 	out := make([]BatchResult, len(items))
 	SolveBatchInto(out, items, opts)
@@ -153,25 +155,56 @@ type batchShape struct {
 // distinct rows per role).
 func (sh batchShape) rows() int { return 1 + sh.mem + sh.out + sh.in }
 
-// distinctVisits compacts vis into (value, physical count) pairs, dropping
-// zero visits, first-seen order. vals/counts are reused scratch.
-func distinctVisits(vis, vals, counts []float64) ([]float64, []float64) {
+// dedup merges equal visit ratios in O(n): an open-addressing table keyed
+// on the float's bits maps each value to its index in the output lists. The
+// table lives on the stack for small inputs and is kept across calls, so
+// deduplicating the three roles of one model allocates at most once.
+type dedup struct {
+	small [64]int32
+	table []int32 // slot → output index + 1; 0 is empty
+}
+
+// distinct compacts vis into (value, physical count) pairs, dropping zero
+// visits, in first-seen order. The pairs are appended to vals[:0] and
+// counts[:0], which must have room for len(vis) entries to stay
+// allocation-free.
+func (d *dedup) distinct(vis, vals, counts []float64) ([]float64, []float64) {
 	vals, counts = vals[:0], counts[:0]
+	size := 16
+	for size < 2*len(vis) {
+		size <<= 1
+	}
+	var table []int32
+	if size <= len(d.small) {
+		table = d.small[:size]
+	} else {
+		if cap(d.table) < size {
+			d.table = make([]int32, size)
+		}
+		table = d.table[:size]
+	}
+	clear(table)
+	mask := uint64(size - 1)
 	for _, x := range vis {
 		if x == 0 {
 			continue
 		}
-		found := false
-		for k := range vals {
-			if vals[k] == x {
-				counts[k]++
-				found = true
+		bits := math.Float64bits(x)
+		h := (bits * 0x9E3779B97F4A7C15) >> 32
+		for {
+			slot := h & mask
+			at := table[slot]
+			if at == 0 {
+				vals = append(vals, x)
+				counts = append(counts, 1)
+				table[slot] = int32(len(vals))
 				break
 			}
-		}
-		if !found {
-			vals = append(vals, x)
-			counts = append(counts, 1)
+			if math.Float64bits(vals[at-1]) == bits {
+				counts[at-1]++
+				break
+			}
+			h++
 		}
 	}
 	return vals, counts
@@ -191,8 +224,8 @@ func batchShapeOf(m *Model) batchShape {
 // the symmetric solver's class-0 layout (0 = processor, then memory,
 // outbound, inbound role groups) with each role collapsed to its distinct
 // visit values as weighted representative rows — and assembles each lane's
-// metrics exactly as solveSymmetric does, the role sums weighted by the
-// physical station counts.
+// metrics from class 0's visit-weighted residence sums, each row weighted by
+// its physical station count.
 func solveSymmetricBatch(ws *Workspace, models []*Model, idx []int, sh batchShape, opts SolveOptions, dst []BatchResult) {
 	bw := &ws.batch
 	bw.Reset(len(idx), sh.rows(), 4)
@@ -242,7 +275,7 @@ func solveSymmetricBatch(ws *Workspace, models []*Model, idx []int, sh batchShap
 	bw.Run(mva.BatchOptions{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations})
 	for b, it := range idx {
 		if err := bw.Err(b); err != nil {
-			dst[it].Err = fmt.Errorf("mms: batch item %d: %w", it, err)
+			dst[it].Err = fmt.Errorf("mms: symmetric AMVA: %w", err)
 			continue
 		}
 		lambda := bw.Lambda(b)

@@ -97,8 +97,15 @@ func (m *Model) computeVisits() {
 		q = func(dst topology.Node) float64 { return m.pattern.Prob(0, dst) }
 	}
 	m.visitMem, m.visitOut, m.visitIn = visitsFrom(m.torus, 0, m.cfg.PRemote, q)
+	// One backing array holds every role's (value, count) lists; a role has
+	// at most n distinct values, and the capacity caps keep the lists apart.
+	n := len(m.visitMem)
+	merged := make([]float64, 6*n)
+	var d dedup
 	for r, vis := range [3][]float64{m.visitMem, m.visitOut, m.visitIn} {
-		m.mergeVals[r], m.mergeCounts[r] = distinctVisits(vis, nil, nil)
+		v := merged[2*r*n : 2*r*n : (2*r+1)*n]
+		c := merged[(2*r+1)*n : (2*r+1)*n : (2*r+2)*n]
+		m.mergeVals[r], m.mergeCounts[r] = d.distinct(vis, v, c)
 	}
 }
 
@@ -109,16 +116,19 @@ func (m *Model) computeVisits() {
 // inbound switch of every node on the dimension-order route (destination
 // included), and responses return through outbound[dst] and the reverse
 // route. q must sum to 1 over dst ≠ home (it is ignored when p == 0).
+//
+// The three vectors share one allocation and every route is walked in one
+// reused hop buffer, so the cost is O(P·d) time and O(P) memory.
 func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topology.Node) float64) (mem, out, in []float64) {
 	n := t.Nodes()
-	mem = make([]float64, n)
-	out = make([]float64, n)
-	in = make([]float64, n)
+	buf := make([]float64, 3*n)
+	mem, out, in = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	mem[home] = 1 - p
 	if p == 0 || q == nil {
 		return mem, out, in
 	}
 	out[home] = p
+	route := make([]topology.Node, 0, t.MaxDistance())
 	for j := 0; j < n; j++ {
 		dst := topology.Node(j)
 		if dst == home {
@@ -130,10 +140,12 @@ func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topolo
 		if em == 0 {
 			continue
 		}
-		for _, hop := range t.Route(home, dst) {
+		route = t.AppendRoute(route[:0], home, dst)
+		for _, hop := range route {
 			in[hop] += em
 		}
-		for _, hop := range t.Route(dst, home) {
+		route = t.AppendRoute(route[:0], dst, home)
+		for _, hop := range route {
 			in[hop] += em
 		}
 	}

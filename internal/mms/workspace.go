@@ -3,13 +3,12 @@ package mms
 import (
 	"sync"
 
-	"lattol/internal/fixpoint"
 	"lattol/internal/mva"
 )
 
 // Workspace holds the reusable scratch buffers of the model solvers: the
-// flattened class-0 station vectors of the symmetric AMVA and an mva.Workspace
-// for the multiclass solvers. Sweeps that solve many configurations reuse one
+// lockstep batch kernel behind the symmetric AMVA and an mva.Workspace for
+// the multiclass solvers. Sweeps that solve many configurations reuse one
 // workspace per worker (see sweep.RunWithWorker) so the steady-state solve
 // loop performs no per-call allocations.
 //
@@ -18,28 +17,14 @@ import (
 // is a plain value and never aliases the workspace. The zero value is ready
 // to use.
 type Workspace struct {
-	// Symmetric-AMVA vectors, one entry per class-0 station
-	// (1 processor + 3 per node): visit ratios, service times, server
-	// counts, the queue-length iterate and residence times.
-	e, s, srv, q, w []float64
-	role            []StationRole
-	// Accelerated-path scratch: g is the evaluated sweep, upper the
-	// feasibility bounds, accel the scheme state (see internal/fixpoint).
-	g, upper []float64
-	accel    fixpoint.Accelerator
 	// mvaWS backs the FullAMVA multiclass solver and the extension solvers
 	// (topology comparison, heterogeneous and hot-spot workloads).
 	mvaWS mva.Workspace
-	// Symmetric-solver warm-start state: q holds a converged symWarmN-station
-	// solution iff symWarmOK. With SolveOptions.WarmStart a later symmetric
-	// solve of the same station count seeds its iterate from it.
-	symWarmOK bool
-	symWarmN  int
 
 	// Batch-solve scratch: the SoA lockstep kernel plus the grouping
 	// bookkeeping of SolveBatch (lane→item indices, per-item models, shape
-	// partition flags). Disjoint from the scalar buffers above, so batch and
-	// scalar solves can interleave on one workspace.
+	// partition flags). The kernel also keeps the symmetric warm-start
+	// state: the last converged lane seeds the next same-shape solve.
 	batch       mva.BatchWorkspace
 	batchIdx    []int
 	batchModels []*Model
@@ -49,20 +34,9 @@ type Workspace struct {
 	// and the hoisted per-lane role parameters of the kernel load.
 	batchShapes []batchShape
 	batchRole   []float64
-}
-
-// ensureSym sizes the symmetric-solver vectors for n stations. Contents are
-// not zeroed — solveSymmetric overwrites every entry before reading it.
-func (ws *Workspace) ensureSym(n int) {
-	ws.e = resizeF(ws.e, n)
-	ws.s = resizeF(ws.s, n)
-	ws.srv = resizeF(ws.srv, n)
-	ws.q = resizeF(ws.q, n)
-	ws.w = resizeF(ws.w, n)
-	if cap(ws.role) < n {
-		ws.role = make([]StationRole, n)
-	}
-	ws.role = ws.role[:n]
+	// one/oneRes carry Model.Solve's one-item symmetric batch.
+	one    [1]BatchItem
+	oneRes [1]BatchResult
 }
 
 func resizeF(buf []float64, n int) []float64 {

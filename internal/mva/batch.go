@@ -63,14 +63,22 @@ type BatchOptions struct {
 // and the raw-residual stopping test are unchanged, so the fixed point is
 // exactly the plain iteration's. A lane whose μ estimate is not a contraction
 // or whose extrapolant leaves [0, population] takes the plain step instead.
+// A lane whose leg-2 residual fails to improve on its previous cycle's is
+// stalled — on some lanes the extrapolant lands on a cycle of the
+// acceleration map that is not a fixed point of G, and the residual sits
+// there forever while the plain iteration converges — so from then on the
+// lane takes plain steps only. The guard costs at most one extrapolation per
+// lane and bounds an accelerated lane's iterations by the plain iteration's
+// from the point it latched.
 //
 // Seeding implements shared warm-start continuation. On a cold batch, the
-// first healthy lane is pilot-solved alone (a strided scalar loop — the wide
-// loops never run with a single live lane) and its converged solution seeds
-// every other lane. Across Run calls the workspace keeps the last converged
-// lane's solution and, when the next batch has the same station count, seeds
-// all of its lanes from it — the batched analogue of the scalar WarmStart
-// contract.
+// first healthy lane is pilot-solved alone (a strided scalar loop with the
+// same guarded Aitken step, which also runs any batch left with one lane to
+// iterate) and its converged solution seeds every other lane. Across Run calls the workspace keeps the last converged lane's
+// solution and, when the next batch has the same station count, seeds all of
+// its lanes from it — the batched analogue of the scalar WarmStart contract.
+// Forget drops that state, making the next Run a pure function of its
+// inputs.
 //
 // The zero value is ready to use. A BatchWorkspace may be used by one
 // goroutine at a time; Run performs no allocations in steady state (error
@@ -99,6 +107,7 @@ type BatchWorkspace struct {
 	invPop     []float64
 	maxDelta   []float64
 	r1r1, r1r2 []float64 // per-lane Aitken residual projections
+	r2Prev     []float64 // per-lane previous leg-2 residual; −Inf once stalled
 	lane       []int     // packed slot → original lane
 	slot       []int     // original lane → packed slot
 	iters      []int
@@ -145,6 +154,7 @@ func (ws *BatchWorkspace) Reset(lanes, stations, groups int) {
 	ws.maxDelta = resizeF(ws.maxDelta, lanes)
 	ws.r1r1 = resizeF(ws.r1r1, lanes)
 	ws.r1r2 = resizeF(ws.r1r2, lanes)
+	ws.r2Prev = resizeF(ws.r2Prev, lanes)
 	ws.lane = resizeInt(ws.lane, lanes)
 	ws.slot = resizeInt(ws.slot, lanes)
 	ws.iters = resizeInt(ws.iters, lanes)
@@ -214,6 +224,11 @@ func (ws *BatchWorkspace) Iterations(b int) int { return ws.iters[b] }
 // Err returns lane b's failure, or nil when the lane converged.
 func (ws *BatchWorkspace) Err(b int) error { return ws.errs[b] }
 
+// Forget drops the cross-Run continuation seed: the next Run starts cold
+// (pilot solve from the uniform spread), so its results depend on its inputs
+// alone, not on what the workspace solved before.
+func (ws *BatchWorkspace) Forget() { ws.warmOK = false }
+
 // Run iterates every lane to convergence (or failure). Results are read off
 // the accessors; lane failures are positional and independent — one bad lane
 // never poisons its neighbors.
@@ -265,6 +280,7 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 		ws.lane[b], ws.slot[b] = b, b
 		ws.iters[b] = 0
 		ws.lambda[b] = 0
+		ws.r2Prev[b] = math.Inf(1)
 		p := ws.pop[b]
 		if !(p > 0) || math.IsInf(p, 0) {
 			ws.errs[b] = fmt.Errorf("mva: batch lane %d: population = %v, want finite > 0", b, p)
@@ -288,7 +304,7 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 	pilot := -1
 	if warm {
 		// Continuation across batches: every lane starts from the previous
-		// batch\'s last converged solution.
+		// batch's last converged solution.
 		for i := 0; i < n; i++ {
 			v := ws.warmQ[i]
 			row := ws.q[i*B : (i+1)*B]
@@ -305,7 +321,7 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 				continue
 			}
 			ws.seedUniform(p)
-			ws.pilotSolve(p, tol, maxIter)
+			ws.solveAlone(p, tol, maxIter)
 			if ws.errs[p] == nil {
 				pilot = p
 				break
@@ -322,7 +338,7 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 			}
 		}
 	}
-	// A lane\'s unvisited stations must read as zero regardless of the seed
+	// A lane's unvisited stations must read as zero regardless of the seed
 	// (their update is identically zero; zeroing keeps the first residence
 	// times sane, matching the scalar warm-start path).
 	for i := 0; i < n; i++ {
@@ -347,9 +363,15 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 		c++
 	}
 
-	ws.iterate(tol, maxIter, live)
+	if live == 1 {
+		// A lone lane (a warm one-point batch, the ideal twin of a cold
+		// pilot) takes the narrow loop; see solveAlone.
+		ws.solveAlone(0, tol, maxIter)
+	} else {
+		ws.iterate(tol, maxIter, live)
+	}
 
-	// Save the last converged lane as the next batch\'s continuation seed.
+	// Save the last converged lane as the next batch's continuation seed.
 	for b := B - 1; b >= 0; b-- {
 		if ws.errs[b] != nil {
 			continue
@@ -368,9 +390,9 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 // by swapping columns c and live-1 across every per-lane buffer (group totals
 // included — they persist between iterations now that their accumulation is
 // fused into the update passes) and updating the lane↔slot permutation; it returns the shrunk live count. Retired
-// columns sit untouched behind the window with the lane\'s published q, w and
+// columns sit untouched behind the window with the lane's published q, w and
 // λ, read back through the permutation by the accessors. iters and errs stay
-// indexed by the caller\'s lane numbers and never move.
+// indexed by the caller's lane numbers and never move.
 func (ws *BatchWorkspace) retire(c, live int) int {
 	d := live - 1
 	if c != d {
@@ -409,6 +431,7 @@ func (ws *BatchWorkspace) retire(c, live int) int {
 		ws.maxDelta[c], ws.maxDelta[d] = ws.maxDelta[d], ws.maxDelta[c]
 		ws.r1r1[c], ws.r1r1[d] = ws.r1r1[d], ws.r1r1[c]
 		ws.r1r2[c], ws.r1r2[d] = ws.r1r2[d], ws.r1r2[c]
+		ws.r2Prev[c], ws.r2Prev[d] = ws.r2Prev[d], ws.r2Prev[c]
 		lc, ld := ws.lane[c], ws.lane[d]
 		ws.lane[c], ws.lane[d] = ld, lc
 		ws.slot[lc], ws.slot[ld] = d, c
@@ -416,8 +439,8 @@ func (ws *BatchWorkspace) retire(c, live int) int {
 	return d
 }
 
-// seedUniform spreads lane b\'s population uniformly over its visited
-// physical stations (the scalar solvers\' cold initial guess, weights
+// seedUniform spreads lane b's population uniformly over its visited
+// physical stations (the scalar solvers' cold initial guess, weights
 // counted).
 func (ws *BatchWorkspace) seedUniform(b int) {
 	B, n := ws.lanes, ws.stations
@@ -440,54 +463,111 @@ func (ws *BatchWorkspace) seedUniform(b int) {
 	}
 }
 
-// pilotSolve iterates a single lane to convergence with strided scalar
-// loops. Running the B-wide lockstep loops with one live lane would cost
-// B× the work of the lane actually iterating, so the cold pilot gets its own
-// narrow path; the main loop then starts with every remaining lane seeded.
-func (ws *BatchWorkspace) pilotSolve(b int, tol float64, maxIter int) {
+// solveAlone iterates the lane in packed column c alone, from its current
+// iterate, with strided scalar loops. It runs the cold pilot and any lane
+// left to iterate on its own: at width one the lockstep loop's per-station
+// slicing costs about twice these loops per sweep. Sweeps alternate the same
+// guarded Aitken legs as iterate: leg 1 takes the plain step, leg 2
+// evaluates g = G(x) into gq and commits the extrapolant (or g itself when
+// the factor is rejected, the lane has stalled, or the extrapolant leaves
+// [0, population]).
+func (ws *BatchWorkspace) solveAlone(c int, tol float64, maxIter int) {
 	B, n := ws.lanes, ws.stations
-	pop := ws.pop[b]
-	inv := ws.invPop[b]
+	lane := ws.lane[c]
+	pop := ws.pop[c]
+	inv := ws.invPop[c]
 	lastDelta := math.Inf(1)
-	for iter := 1; iter <= maxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		for g := 0; g < ws.groups; g++ {
-			ws.groupTot[g*B+b] = 0
+			ws.groupTot[g*B+c] = 0
 		}
 		for i := 0; i < n; i++ {
-			at := i*B + b
-			ws.groupTot[ws.group[i]*B+b] += ws.mult[at] * ws.q[at]
+			at := i*B + c
+			ws.groupTot[ws.group[i]*B+c] += ws.mult[at] * ws.q[at]
 		}
 		var cycle float64
 		for i := 0; i < n; i++ {
-			at := i*B + b
-			seen := ws.groupTot[ws.group[i]*B+b] - ws.q[at]*inv
+			at := i*B + c
+			seen := ws.groupTot[ws.group[i]*B+c] - ws.q[at]*inv
 			wv := ws.a[at]*seen + ws.s[at]
 			ws.w[at] = wv
 			cycle += ws.em[at] * wv
 		}
 		if !(cycle > 0) || math.IsInf(cycle, 0) {
-			ws.errs[b] = fmt.Errorf("mva: batch lane %d: degenerate zero total demand", b)
-			ws.lambda[b] = 0
+			ws.errs[lane] = fmt.Errorf("mva: batch lane %d: degenerate zero total demand", lane)
+			ws.lambda[c] = 0
 			return
 		}
 		lambda := pop / cycle
-		ws.lambda[b] = lambda
+		ws.lambda[c] = lambda
+		leg2 := iter%2 == 1
 		maxDelta := 0.0
+		var r11, r12 float64
 		for i := 0; i < n; i++ {
-			at := i*B + b
-			nNew := lambda * ws.e[at] * ws.w[at]
-			if d := math.Abs(nNew - ws.q[at]); d > maxDelta {
+			at := i*B + c
+			x := ws.q[at]
+			g := lambda * ws.e[at] * ws.w[at]
+			if d := math.Abs(g - x); d > maxDelta {
 				maxDelta = d
 			}
-			ws.q[at] = nNew
+			if leg2 {
+				r1 := x - ws.xPrev[at]
+				r11 += r1 * r1
+				r12 += r1 * (g - x)
+				ws.gq[at] = g
+			} else {
+				ws.xPrev[at] = x
+				ws.q[at] = g
+			}
 		}
-		ws.iters[b]++
+		ws.iters[lane]++
 		lastDelta = maxDelta
+		if leg2 {
+			fac := 0.0
+			if maxDelta >= tol {
+				fac = ws.aitkenFactor(c, maxDelta, r11, r12)
+			}
+			feasible := true
+			for i := 0; i < n; i++ {
+				at := i*B + c
+				g := ws.gq[at]
+				cand := g + fac*(g-ws.q[at])
+				if !(cand >= 0 && cand <= pop) {
+					feasible = false
+				}
+				ws.q[at] = cand
+			}
+			if !feasible {
+				for i := 0; i < n; i++ {
+					ws.q[i*B+c] = ws.gq[i*B+c]
+				}
+			}
+		}
 		if maxDelta < tol {
 			return
 		}
 	}
-	ws.errs[b] = &NonConvergenceError{Iterations: ws.iters[b], MaxDelta: lastDelta, Tolerance: tol}
+	ws.errs[lane] = &NonConvergenceError{Iterations: ws.iters[lane], MaxDelta: lastDelta, Tolerance: tol}
+}
+
+// aitkenFactor returns the extrapolation factor μ/(1−μ) of the lane in packed
+// column c from its leg-2 residual projections r11 = ⟨r1,r1⟩, r12 = ⟨r1,r2⟩
+// and max residual md, or 0 (the plain step) when μ is not a contraction
+// estimate or the lane has stalled. A lane stalls the first time its leg-2
+// residual fails to improve on its previous cycle's; r2Prev then latches to
+// −Inf, which no later residual beats.
+func (ws *BatchWorkspace) aitkenFactor(c int, md, r11, r12 float64) float64 {
+	if !(md < ws.r2Prev[c]) {
+		ws.r2Prev[c] = math.Inf(-1)
+		return 0
+	}
+	ws.r2Prev[c] = md
+	if r11 > 0 {
+		if mu := r12 / r11; mu > -1 && mu < 1 {
+			return mu / (1 - mu)
+		}
+	}
+	return 0
 }
 
 // iterate runs the lockstep fixed-point loop over the packed live columns
@@ -504,8 +584,9 @@ func (ws *BatchWorkspace) pilotSolve(b int, tol float64, maxIter int) {
 // snapshotting the pre-sweep iterate into xPrev. Leg 2 writes the sweep
 // output into gq so x survives, projects the two consecutive residuals per
 // lane, then commits the safeguarded Irons–Tuck extrapolant optimistically in
-// one pass — lanes whose extrapolant leaves [0, population] (a NaN factor
-// included) are repaired column-wise to the plain step afterwards. A lane
+// one pass — a rejected or stalled factor is 0, which commits g itself, and
+// lanes whose extrapolant leaves [0, population] are repaired column-wise to
+// the plain step afterwards (see aitkenFactor for the stall guard). A lane
 // that converges (raw residual below tol) or fails retires its column behind
 // the live window (see retire).
 func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
@@ -545,7 +626,7 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 	}
 	for iter := 0; iter < maxIter && live > 0; iter++ {
 		// Steps 2b–3 collapsed to per-lane scalars: cycle time from the
-		// regrouped form, with the scalar solver\'s degeneracy guard applied
+		// regrouped form, with the scalar solver's degeneracy guard applied
 		// per lane — a failing lane retires before the update, so no NaN
 		// ever enters a live column.
 		for c := 0; c < live; {
@@ -651,9 +732,9 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 			}
 		}
 		// Converged lanes materialize w(x), publish g and retire; survivors
-		// pick their factor fac = μ/(1−μ), with NaN marking "take the plain
-		// step" (r1r1 is reused as the factor and r1r2, re-zeroed here, as
-		// the feasibility flag below).
+		// pick their factor fac = μ/(1−μ), with 0 giving the plain step
+		// (r1r1 is reused as the factor and r1r2, re-zeroed here, as the
+		// feasibility flag below).
 		for c := 0; c < live; {
 			ws.iters[ws.lane[c]]++
 			if md[c] < tol {
@@ -664,20 +745,13 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 				live = ws.retire(c, live)
 				continue
 			}
-			fac := math.NaN()
-			if rr := r11[c]; rr > 0 {
-				if mu := r12[c] / rr; mu > -1 && mu < 1 {
-					fac = mu / (1 - mu)
-				}
-			}
-			r11[c] = fac
+			r11[c] = ws.aitkenFactor(c, md[c], r11[c], r12[c])
 			r12[c] = 0
 			c++
 		}
 		// Commit x* = g + fac·(g−x) optimistically in one pass, accumulating
 		// the published group totals and S and flagging lanes whose
-		// extrapolant leaves [0, population] — a NaN fac fails the bound
-		// check too, folding the plain-step fallback into the same flag.
+		// extrapolant leaves [0, population] (or is not finite).
 		for g := 0; g < ws.groups; g++ {
 			tot := totB[g*B : g*B+live]
 			for b := range tot {
@@ -708,8 +782,8 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 			}
 		}
 		// Repair flagged lanes column-wise: republish the plain step g and
-		// rebuild the lane\'s totals and S from scratch (a NaN candidate has
-		// poisoned them, so incremental patching won\'t do). The safeguard
+		// rebuild the lane's totals and S from scratch (the rejected candidate
+		// has polluted them, so incremental patching won't do). The safeguard
 		// trips on few lanes past the first sweeps, so the strided repair is
 		// far cheaper than a separate candidate pass.
 		for c := 0; c < live; c++ {

@@ -132,3 +132,27 @@ func TestEvaluatorMaxErrorTightens(t *testing.T) {
 		t.Errorf("Bound %v > MaxError without exhausting MaxReps", tight.Bound)
 	}
 }
+
+// TestEvaluatorDefaultsIgnoreWorkers: with default options apart from the
+// worker count, adaptive estimates must not depend on the machine's core
+// count — the default round size is a constant, not the pool size.
+func TestEvaluatorDefaultsIgnoreWorkers(t *testing.T) {
+	ctx := context.Background()
+	cfg := eval.Config{Model: testConfig()}
+	run := func(workers int) eval.Metrics {
+		t.Helper()
+		opts := Options{Sim: testSimOpts(simmms.Direct), Precision: 0.025, Workers: workers}
+		m, err := NewEvaluator(opts).Evaluate(ctx, cfg, eval.Options{TolNetwork: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("Workers 1 and 4 disagree under default options:\n  1: %+v\n  4: %+v", one, four)
+	}
+	if one.Solves <= 2*8 {
+		t.Errorf("Solves = %d: the precision target never forced an adaptive round", one.Solves)
+	}
+}

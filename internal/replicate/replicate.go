@@ -43,10 +43,12 @@ type Options struct {
 	// MaxReps caps the total number of replications (default 64).
 	MaxReps int
 	// Round is how many replications each adaptive round adds after MinReps
-	// (default: the worker count, so every round keeps the pool full).
+	// (default DefaultRound). It decides where adaptive stopping may stop,
+	// so it is part of what the estimates depend on.
 	Round int
-	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0)).
-	// The results are bit-identical for any value.
+	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0)). It
+	// changes only the wall-clock time: with Round fixed (explicitly or by
+	// its constant default) the results are bit-identical for any value.
 	Workers int
 	// Precision, when positive, is the target relative confidence half-width
 	// of U_p: replication stops once HalfCI/Mean <= Precision. Zero runs
@@ -74,13 +76,18 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Round <= 0 {
-		o.Round = o.Workers
+		o.Round = DefaultRound
 	}
 	if o.Confidence <= 0 || o.Confidence >= 1 {
 		o.Confidence = 0.95
 	}
 	return o
 }
+
+// DefaultRound is the adaptive round size selected by a zero Options.Round.
+// It is a constant rather than the worker count so that the replication
+// count, and with it every estimate, is the same on any machine.
+const DefaultRound = 4
 
 // Metric is one replicated estimate: the across-replication mean with its
 // Student-t confidence half-width (each replication contributes one

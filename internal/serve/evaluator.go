@@ -254,38 +254,33 @@ func (e *Evaluator) submit(t task) error {
 	}
 }
 
-// worker is the pool loop: one reusable solver workspace per worker (the
-// sweep runner's per-worker pattern), so steady-state solves allocate
-// nothing beyond model construction.
+// worker is the pool loop: one reusable solver workspace and batch scratch
+// per worker (the sweep runner's per-worker pattern), so steady-state solves
+// allocate nothing beyond model construction. A single-key task is a batch
+// of one: every miss takes the same compute path.
 func (e *Evaluator) worker() {
 	defer e.wg.Done()
-	ws := new(mms.Workspace)
+	sc := new(workerScratch)
+	var one [1]*entry
 	for t := range e.tasks {
 		e.met.queueWait.observe(time.Since(t.enq))
-		if t.ents != nil {
-			e.runBatch(ws, t)
-			continue
+		ents := t.ents
+		if ents == nil {
+			one[0] = t.ent
+			ents = one[:]
 		}
-		if err := t.ctx.Err(); err != nil {
-			// The submitter's context is the only one the task carries, so the
-			// completion error is its context error. Coalesced waiters whose
-			// own contexts are live treat that as foreign and retry (evalKey).
-			e.cache.complete(t.ent, result{}, err)
-			continue
-		}
-		e.met.inFlight.Add(1)
-		if e.solveHook != nil {
-			e.solveHook(t.ent.key)
-		}
-		start := time.Now()
-		res, err := computeKey(ws, t.ent.key)
-		e.met.solveLatency.observe(time.Since(start))
-		e.met.inFlight.Add(-1)
-		e.recordSolve(res, err)
-		if n := e.cache.complete(t.ent, res, err); n > 0 {
-			e.met.cacheEvictions.Add(uint64(n))
-		}
+		e.runBatch(t.ctx, sc, ents)
+		one[0] = nil
 	}
+}
+
+// workerScratch is one worker's reusable solve state: the mms workspace
+// (whose kernel carries warm-start continuation from solve to solve) and the
+// batch item/result storage computeBatch fills.
+type workerScratch struct {
+	ws    mms.Workspace
+	items []mms.BatchItem
+	res   []mms.BatchResult
 }
 
 // recordSolve updates the solve counters for one completed evaluation.
@@ -306,26 +301,26 @@ func (e *Evaluator) recordSolve(res result, err error) {
 	}
 }
 
-// runBatch solves the cache-missing entries of one batch request as a single
-// mms batch on this worker's workspace, completing each entry positionally.
-func (e *Evaluator) runBatch(ws *mms.Workspace, t task) {
-	if err := t.ctx.Err(); err != nil {
-		// The batch submitter is gone; complete every entry with its context
+// runBatch solves the cache-missing entries of one task as a single mms
+// batch on this worker's workspace, completing each entry positionally.
+func (e *Evaluator) runBatch(ctx context.Context, sc *workerScratch, ents []*entry) {
+	if err := ctx.Err(); err != nil {
+		// The submitter is gone; complete every entry with its context
 		// error. Waiters that coalesced onto these entries from other
 		// requests see a foreign context error and retry.
-		for _, ent := range t.ents {
+		for _, ent := range ents {
 			e.cache.complete(ent, result{}, err)
 		}
 		return
 	}
 	e.met.inFlight.Add(1)
 	if e.solveHook != nil {
-		for _, ent := range t.ents {
+		for _, ent := range ents {
 			e.solveHook(ent.key)
 		}
 	}
 	start := time.Now()
-	e.computeBatch(ws, t.ents)
+	e.computeBatch(sc, ents)
 	e.met.solveLatency.observe(time.Since(start))
 	e.met.inFlight.Add(-1)
 }
@@ -333,8 +328,11 @@ func (e *Evaluator) runBatch(ws *mms.Workspace, t task) {
 // computeBatch translates entries into mms batch items — one per solve key,
 // two per tolerance key (real system, then ideal) — runs them as one lockstep
 // batch and completes each entry from its span of the positional results.
-func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
-	items := make([]mms.BatchItem, 0, 2*len(ents))
+// The workspace carries its last converged solution forward, so runs of
+// same-shape requests converge from a continuation guess instead of from
+// scratch (same fixed point); FullAMVA items get Anderson mixing on top.
+func (e *Evaluator) computeBatch(sc *workerScratch, ents []*entry) {
+	items := sc.items[:0]
 	for _, ent := range ents {
 		k := ent.key
 		cfg := k.config()
@@ -349,7 +347,12 @@ func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
 			items = append(items, mms.BatchItem{Config: ideal, Solver: k.solver})
 		}
 	}
-	results := mms.SolveBatch(items, mms.SolveOptions{Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson})
+	sc.items = items
+	if cap(sc.res) < len(items) {
+		sc.res = make([]mms.BatchResult, len(items))
+	}
+	results := sc.res[:len(items)]
+	mms.SolveBatchInto(results, items, mms.SolveOptions{Workspace: &sc.ws, WarmStart: true, Accel: mva.AccelAnderson})
 	pos := 0
 	for _, ent := range ents {
 		k := ent.key
@@ -380,37 +383,6 @@ func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
 		if n := e.cache.complete(ent, res, err); n > 0 {
 			e.met.cacheEvictions.Add(uint64(n))
 		}
-	}
-}
-
-// computeKey runs the evaluation a key denotes on the worker's workspace.
-// Warm starting and Anderson mixing are always on: each worker's workspace
-// carries its previous converged solution forward, so runs of same-shape
-// requests (sweeps fanned over the pool, repeated nearby configurations)
-// converge from a continuation guess instead of from scratch, and the
-// remaining iterations are accelerated (same fixed point; see mva.Accel).
-func computeKey(ws *mms.Workspace, k Key) (result, error) {
-	cfg := k.config()
-	opts := mms.SolveOptions{Solver: k.solver, Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson}
-	switch k.op {
-	case opSolve:
-		model, err := mms.Build(cfg)
-		if err != nil {
-			return result{}, err
-		}
-		met, err := model.Solve(opts)
-		if err != nil {
-			return result{}, err
-		}
-		return result{real: met}, nil
-	case opTolerance:
-		idx, err := tolerance.Compute(cfg, k.sub, k.mode, opts)
-		if err != nil {
-			return result{}, err
-		}
-		return result{real: idx.Real, ideal: idx.Ideal, tol: idx.Tol}, nil
-	default:
-		return result{}, fmt.Errorf("serve: unknown operation %d", k.op)
 	}
 }
 

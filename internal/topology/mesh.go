@@ -18,6 +18,9 @@ type Network interface {
 	// Route returns the dimension-order minimal route from src to dst: the
 	// node visited after each hop, ending with dst (empty when src == dst).
 	Route(src, dst Node) []Node
+	// AppendRoute appends Route(src, dst) to buf and returns the extended
+	// slice, so route walks can reuse one buffer.
+	AppendRoute(buf []Node, src, dst Node) []Node
 	// Name identifies the topology in reports.
 	Name() string
 }
@@ -84,22 +87,21 @@ func (m *Mesh) Distance(a, b Node) int {
 func (m *Mesh) MaxDistance() int { return 2 * (m.k - 1) }
 
 // Route implements Network with X-then-Y dimension-order routing.
-func (m *Mesh) Route(src, dst Node) []Node {
-	if src == dst {
-		return nil
-	}
-	hops := make([]Node, 0, m.Distance(src, dst))
+func (m *Mesh) Route(src, dst Node) []Node { return m.AppendRoute(nil, src, dst) }
+
+// AppendRoute implements Network.
+func (m *Mesh) AppendRoute(buf []Node, src, dst Node) []Node {
 	x, y := m.Coord(src)
 	dx, dy := m.Coord(dst)
 	for x != dx {
 		x += sign(dx - x)
-		hops = append(hops, m.NodeAt(x, y))
+		buf = append(buf, Node(y*m.k+x))
 	}
 	for y != dy {
 		y += sign(dy - y)
-		hops = append(hops, m.NodeAt(x, y))
+		buf = append(buf, Node(y*m.k+x))
 	}
-	return hops
+	return buf
 }
 
 // Name implements Network.

@@ -112,22 +112,40 @@ func (t *Torus) MeanDistanceUniform() float64 {
 // src == dst. Ties on even k (distance exactly k/2 in a dimension) are
 // broken toward the positive direction, deterministically, so analytical
 // visit ratios and simulated token routes agree exactly.
-func (t *Torus) Route(src, dst Node) []Node {
-	if src == dst {
-		return nil
-	}
-	hops := make([]Node, 0, t.Distance(src, dst))
+func (t *Torus) Route(src, dst Node) []Node { return t.AppendRoute(nil, src, dst) }
+
+// AppendRoute appends Route(src, dst) to buf and returns the extended slice.
+// Callers walking many routes pass a reused buffer (buf[:0]) and allocate
+// nothing once it has grown to the network diameter.
+func (t *Torus) AppendRoute(buf []Node, src, dst Node) []Node {
+	k := t.k
 	x, y := t.Coord(src)
 	dx, dy := t.Coord(dst)
-	for x != dx {
-		x = mod(x+ringStep(x, dx, t.k), t.k)
-		hops = append(hops, t.NodeAt(x, y))
+	if x != dx {
+		step := ringStep(x, dx, k)
+		for x != dx {
+			x += step
+			if x == k {
+				x = 0
+			} else if x < 0 {
+				x = k - 1
+			}
+			buf = append(buf, Node(y*k+x))
+		}
 	}
-	for y != dy {
-		y = mod(y+ringStep(y, dy, t.k), t.k)
-		hops = append(hops, t.NodeAt(x, y))
+	if y != dy {
+		step := ringStep(y, dy, k)
+		for y != dy {
+			y += step
+			if y == k {
+				y = 0
+			} else if y < 0 {
+				y = k - 1
+			}
+			buf = append(buf, Node(y*k+x))
+		}
 	}
-	return hops
+	return buf
 }
 
 // ringDist is the shortest distance between positions a and b on a ring of

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,10 +37,16 @@ type benchmark struct {
 	AllocsPerOp *stat  `json:"allocs_per_op,omitempty"`
 }
 
+// summary is the JSON artifact. NumCPU is the core count of the machine the
+// summary was made on (benchjson runs right after the benchmarks, on the
+// same host) and GOMAXPROCS the -N suffix the benchmark names carried, so
+// a parallel speedup can be judged against the cores that were there.
 type summary struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
@@ -60,7 +67,8 @@ func summarize(vals []float64) stat {
 }
 
 func main() {
-	out := summary{}
+	// go test leaves the -N suffix off when GOMAXPROCS is 1.
+	out := summary{NumCPU: runtime.NumCPU(), GOMAXPROCS: 1}
 	samples := map[string]*sample{}
 	var order []string
 
@@ -89,8 +97,9 @@ func main() {
 		// Strip the -GOMAXPROCS suffix so counts from different machines merge.
 		name := fields[0]
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
+				out.GOMAXPROCS = procs
 			}
 		}
 		s := samples[name]
